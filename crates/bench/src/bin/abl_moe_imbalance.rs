@@ -27,6 +27,9 @@ struct Row {
     utilization: f64,
 }
 
+/// One perturbation of the cost model, applied before a run.
+type CostTweak = Box<dyn Fn(&mut CostModel) + Sync>;
+
 fn main() {
     let deployment = Deployment::new(ModelConfig::qwen2_5_32b(), ClusterSpec::intra_node_l20(4));
     let trace = Trace::paper_online(Dataset::ShareGpt, 5.0, 31);
@@ -37,7 +40,7 @@ fn main() {
     println!("Extension ablation — MoE expert-routing variance (32B-equivalent, 4xL20)\n");
     let systems = [SystemConfig::gllm(), SystemConfig::vllm()];
     let variances = [0.0, 0.1, 0.25, 0.5];
-    let tweaks: Vec<Box<dyn Fn(&mut CostModel) + Sync>> = variances
+    let tweaks: Vec<CostTweak> = variances
         .iter()
         .map(|&v| Box::new(move |cost: &mut CostModel| cost.expert_imbalance = v) as Box<_>)
         .collect();

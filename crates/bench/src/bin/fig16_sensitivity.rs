@@ -109,7 +109,7 @@ fn main() {
     }
 
     let systems: Vec<SystemConfig> =
-        points.iter().map(|(_, _, _, tc)| SystemConfig::gllm_with(tc.clone())).collect();
+        points.iter().map(|(_, _, _, tc)| SystemConfig::gllm_with(*tc)).collect();
     let job_list: Vec<ExperimentJob> = points
         .iter()
         .zip(&systems)

@@ -90,8 +90,12 @@ struct BenchSweep {
 struct Family {
     name: &'static str,
     sims: usize,
-    run: Box<dyn Fn(&EngineConfig, usize) -> Vec<u8>>,
+    run: SweepFn,
 }
+
+/// Runs a family's sweep under `(cfg, jobs)`, returning its serialized
+/// results.
+type SweepFn = Box<dyn Fn(&EngineConfig, usize) -> Vec<u8>>;
 
 fn rate_family(
     name: &'static str,
@@ -236,7 +240,7 @@ fn time<F: FnOnce() -> Vec<u8>>(f: F) -> (f64, Vec<u8>) {
     (start.elapsed().as_secs_f64(), out)
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let quick = has_flag(&args, "--quick");
     let jobs = jobs();
@@ -325,6 +329,7 @@ fn main() {
 
     if diverged {
         eprintln!("FAIL: parallel sweep diverged from serial");
-        std::process::exit(1);
+        return std::process::ExitCode::FAILURE;
     }
+    std::process::ExitCode::SUCCESS
 }

@@ -759,7 +759,7 @@ pub fn lint_rust_source_with_edges(
             message: message.clone(),
         });
     }
-    violations.sort_by(|a, b| (a.line, a.check).cmp(&(b.line, b.check)));
+    violations.sort_by_key(|v| (v.line, v.check));
     let edges_out =
         if checks.contains(&Check::LockOrder) { edges } else { Vec::new() };
     (violations, edges_out)

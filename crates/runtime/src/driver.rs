@@ -46,14 +46,14 @@ use gllm_metrics::{
     PlanCaps,
 };
 use gllm_transformer::model::BatchChunk;
-use gllm_transformer::sampler::{sample, SamplingParams};
+use gllm_transformer::sampler::SamplingParams;
 use gllm_transformer::StageModel;
 
 use crate::fault::{ActivationFate, FaultInjector};
 use crate::messages::{
     Activations, BatchMeta, BatchResult, DriverMsg, GenRequest, StreamEvent, WorkerMsg,
 };
-use crate::worker::{PipelineLinks, StageSpawner};
+use crate::worker::{project_and_sample, PipelineLinks, StageSpawner};
 
 /// Per-request bookkeeping the driver keeps beside the pool.
 struct SeqInfo {
@@ -497,7 +497,7 @@ impl Driver {
         self.pool.commit(&plan);
         let batch = self.next_batch;
         let meta = match build_meta(batch, &plan, &self.pool, &self.kvm, &self.seqs) {
-            Ok(meta) => meta,
+            Ok(meta) => Arc::new(meta),
             Err(e) => {
                 // The driver's own bookkeeping is inconsistent for this
                 // sequence (a committed chunk without KV or pool entry).
@@ -534,7 +534,7 @@ impl Driver {
         // Preemptive metadata: every worker learns the batch layout
         // before any activations move.
         for tx in &self.links.meta_txs {
-            if tx.send(WorkerMsg::Batch(meta.clone())).is_err() {
+            if tx.send(WorkerMsg::Batch(Arc::clone(&meta))).is_err() {
                 self.pipeline_down = true;
                 return Step::Idle;
             }
@@ -547,18 +547,7 @@ impl Driver {
         self.ptrace.stage(stage_start, self.now(), batch, 0);
         if self.single_stage {
             // Driver is also the last stage: project, sample, complete.
-            let logits = self.stage0.project(&meta.chunks, &hidden);
-            let mut tokens = Vec::with_capacity(logits.len());
-            let mut li = 0;
-            for (ci, chunk) in meta.chunks.iter().enumerate() {
-                if !chunk.sample {
-                    continue;
-                }
-                let (seq, lg) = &logits[li];
-                li += 1;
-                let Some((params, step)) = meta.samples[ci] else { continue };
-                tokens.push((*seq, sample(lg, &params, *seq, step)));
-            }
+            let tokens = project_and_sample(&self.stage0, &meta, &hidden);
             self.on_result(BatchResult { batch, tokens });
             return Step::Continue;
         }

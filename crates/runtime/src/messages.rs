@@ -1,5 +1,7 @@
 //! Channel message types: the runtime's wire protocol.
 
+use std::sync::Arc;
+
 use gllm_kvcache::PageTable;
 use gllm_transformer::model::BatchChunk;
 use gllm_transformer::sampler::SamplingParams;
@@ -64,8 +66,9 @@ pub struct BatchMeta {
 /// Driver → worker control messages.
 #[derive(Debug, Clone)]
 pub enum WorkerMsg {
-    /// Execute this micro-batch (activations arrive separately).
-    Batch(BatchMeta),
+    /// Execute this micro-batch (activations arrive separately). Every
+    /// stage shares the driver's one copy of the metadata.
+    Batch(Arc<BatchMeta>),
     /// Drain and exit.
     Shutdown,
 }

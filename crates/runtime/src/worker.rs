@@ -23,7 +23,7 @@ use gllm_transformer::sampler::sample;
 use gllm_transformer::StageModel;
 
 use crate::fault::{ActivationFate, FaultInjector};
-use crate::messages::{Activations, BatchResult, WorkerMsg};
+use crate::messages::{Activations, BatchMeta, BatchResult, WorkerMsg};
 
 /// What a worker does with its stage output.
 pub enum StageOutput {
@@ -182,22 +182,30 @@ pub fn run_worker(
                 }
             }
             StageOutput::Result(tx) => {
-                let logits = stage.project(&meta.chunks, &hidden);
-                let mut tokens = Vec::with_capacity(logits.len());
-                let mut li = 0;
-                for (ci, chunk) in meta.chunks.iter().enumerate() {
-                    if !chunk.sample {
-                        continue;
-                    }
-                    let (seq, lg) = &logits[li];
-                    li += 1;
-                    let Some((params, step)) = meta.samples[ci].as_ref() else { continue };
-                    tokens.push((*seq, sample(lg, params, *seq, *step)));
-                }
+                let tokens = project_and_sample(&stage, &meta, &hidden);
                 if tx.send(BatchResult { batch: meta.batch, tokens }).is_err() {
                     break;
                 }
             }
         }
     }
+}
+
+/// Last-stage tail of a micro-batch: project the sampled chunks' logits
+/// and draw one token for each chunk that carries sampling parameters.
+/// Returns `(seq, token)` in chunk order.
+pub fn project_and_sample(
+    stage: &StageModel,
+    meta: &BatchMeta,
+    hidden: &[Vec<f32>],
+) -> Vec<(u64, u32)> {
+    let sampled = meta.chunks.iter().zip(&meta.samples).filter(|(c, _)| c.sample);
+    stage
+        .project(&meta.chunks, hidden)
+        .into_iter()
+        .zip(sampled)
+        .filter_map(|((seq, logits), (_, how))| {
+            how.as_ref().map(|(params, step)| (seq, sample(&logits, params, seq, *step)))
+        })
+        .collect()
 }

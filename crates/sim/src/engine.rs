@@ -934,8 +934,7 @@ mod tests {
     fn pipeline_trace_records_spans_when_enabled() {
         let trace = burst_trace(4, 100, 6);
         let policy = TokenThrottle::default();
-        let mut cfg = EngineConfig::default();
-        cfg.record_pipeline_trace = true;
+        let cfg = EngineConfig { record_pipeline_trace: true, ..EngineConfig::default() };
         let out = SimEngine::new(
             &trace,
             &policy,

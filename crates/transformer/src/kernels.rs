@@ -1,8 +1,9 @@
 //! Dense CPU kernels.
 //!
 //! All kernels use fixed, sequential accumulation order so results are
-//! bit-reproducible regardless of batch composition. Parallelism is applied
-//! one level up (across sequences), never inside a reduction.
+//! bit-reproducible regardless of batch composition. Vectorisation runs
+//! across independent outputs (rows, tokens, positions), never inside a
+//! reduction.
 
 /// `y = W x` where `W` is `rows × cols` row-major and `x` has `cols`
 /// elements. `y` must have `rows` elements.
@@ -17,6 +18,85 @@ pub fn matvec(w: &[f32], x: &[f32], y: &mut [f32], rows: usize, cols: usize) {
             acc += a * b;
         }
         *out = acc;
+    }
+}
+
+/// Tokens per register tile of [`matmul_t`].
+const TILE_TOKENS: usize = 4;
+/// Output rows per register tile of [`matmul_t`] for a group of
+/// [`TILE_TOKENS`] tokens.
+const TILE_ROWS: usize = 16;
+/// Output rows per register tile for a token left over after the groups.
+const SOLO_ROWS: usize = 32;
+
+/// `y = x Wᵀ` for `n` tokens at once: `x` is `n × cols` and `y` is
+/// `n × rows`, both row-major, and `wt` holds the `rows × cols` weight
+/// `W` k-major, i.e. transposed to `cols × rows`.
+///
+/// SIMD lanes run across output rows, in register tiles of
+/// [`TILE_TOKENS`] tokens × [`TILE_ROWS`] rows (a leftover token uses
+/// 1 × [`SOLO_ROWS`]). Every output still accumulates `0.0 + w·x` in
+/// sequential `k` order with a separate multiply and add, exactly as
+/// [`matvec`] does, so the result equals `n` `matvec` calls bit for bit.
+pub fn matmul_t(wt: &[f32], x: &[f32], y: &mut [f32], n: usize, rows: usize, cols: usize) {
+    assert_eq!(wt.len(), rows * cols, "weight shape mismatch");
+    assert_eq!(x.len(), n * cols, "input length mismatch");
+    assert_eq!(y.len(), n * rows, "output length mismatch");
+    let mut t = 0;
+    while t + TILE_TOKENS <= n {
+        matmul_t_tokens::<TILE_TOKENS, TILE_ROWS>(wt, x, y, t, rows, cols);
+        t += TILE_TOKENS;
+    }
+    for t in t..n {
+        matmul_t_tokens::<1, SOLO_ROWS>(wt, x, y, t, rows, cols);
+    }
+}
+
+/// Tokens `t0..t0 + TN` against every output row, `TR` rows per register
+/// tile; rows past the last full tile go one at a time.
+fn matmul_t_tokens<const TN: usize, const TR: usize>(
+    wt: &[f32],
+    x: &[f32],
+    y: &mut [f32],
+    t0: usize,
+    rows: usize,
+    cols: usize,
+) {
+    let mut r0 = 0;
+    while r0 + TR <= rows {
+        matmul_t_tile::<TN, TR>(wt, x, y, t0, r0, rows, cols);
+        r0 += TR;
+    }
+    for r in r0..rows {
+        matmul_t_tile::<TN, 1>(wt, x, y, t0, r, rows, cols);
+    }
+}
+
+/// One register tile: outputs `(t0..t0 + TN) × (r0..r0 + TR)`.
+#[inline(always)]
+fn matmul_t_tile<const TN: usize, const TR: usize>(
+    wt: &[f32],
+    x: &[f32],
+    y: &mut [f32],
+    t0: usize,
+    r0: usize,
+    rows: usize,
+    cols: usize,
+) {
+    let xs: [&[f32]; TN] = std::array::from_fn(|t| &x[(t0 + t) * cols..(t0 + t + 1) * cols]);
+    let mut acc = [[0.0f32; TR]; TN];
+    for k in 0..cols {
+        let w: &[f32; TR] = wt[k * rows + r0..k * rows + r0 + TR].try_into().expect("tile width");
+        for (a, xr) in acc.iter_mut().zip(xs.iter()) {
+            let xv = xr[k];
+            for (o, &wv) in a.iter_mut().zip(w.iter()) {
+                *o += wv * xv;
+            }
+        }
+    }
+    for (t, a) in acc.iter().enumerate() {
+        let at = (t0 + t) * rows + r0;
+        y[at..at + TR].copy_from_slice(a);
     }
 }
 
@@ -58,14 +138,29 @@ pub fn silu(x: f32) -> f32 {
 pub fn rope(head: &mut [f32], pos: usize) {
     let d = head.len();
     debug_assert!(d.is_multiple_of(2), "head dim must be even for RoPE");
-    for i in 0..d / 2 {
-        let freq = 1.0 / 10000f32.powf(2.0 * i as f32 / d as f32);
-        let angle = pos as f32 * freq;
-        let (sin, cos) = angle.sin_cos();
-        let a = head[2 * i];
-        let b = head[2 * i + 1];
-        head[2 * i] = a * cos - b * sin;
-        head[2 * i + 1] = a * sin + b * cos;
+    for (i, pair) in head.chunks_exact_mut(2).enumerate() {
+        rope_rotate(pair, &[rope_sin_cos(pos, i, d)]);
+    }
+}
+
+/// `(sin, cos)` of [`rope`]'s angle for pair `i` of a `d`-wide head at
+/// position `pos`. Depends on nothing else, so callers may compute it once
+/// per position and share it across heads and layers.
+#[inline]
+pub(crate) fn rope_sin_cos(pos: usize, i: usize, d: usize) -> (f32, f32) {
+    let freq = 1.0 / 10000f32.powf(2.0 * i as f32 / d as f32);
+    (pos as f32 * freq).sin_cos()
+}
+
+/// Rotate each pair `(2i, 2i+1)` of `head` by the angle whose
+/// `(sin, cos)` is `angles[i]`.
+#[inline]
+pub(crate) fn rope_rotate(head: &mut [f32], angles: &[(f32, f32)]) {
+    debug_assert_eq!(head.len(), 2 * angles.len());
+    for (pair, &(sin, cos)) in head.chunks_exact_mut(2).zip(angles) {
+        let (a, b) = (pair[0], pair[1]);
+        pair[0] = a * cos - b * sin;
+        pair[1] = a * sin + b * cos;
     }
 }
 
@@ -100,6 +195,53 @@ mod tests {
         let mut y = vec![0.0; 2];
         matvec(&w, &[5.0, 6.0], &mut y, 2, 2);
         assert_eq!(y, vec![17.0, 39.0]);
+    }
+
+    /// Deterministic values spanning several magnitudes, so that any
+    /// change in summation order would change the rounded result.
+    fn values(n: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let unit = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+                unit * [0.01, 1.0, 300.0][(state >> 20) as usize % 3]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matmul_t_equals_per_token_matvec_bitwise() {
+        let cfg = gllm_model::ModelConfig::tiny();
+        let (h, q, kv, i) = (cfg.hidden_size, cfg.q_dim(), cfg.kv_dim(), cfg.intermediate_size);
+        let tiny =
+            [(q + 2 * kv, h), (q, h), (kv, h), (h, q), (2 * i, h), (h, i), (cfg.vocab_size, h)];
+        let odd = [(5, 7), (37, 19), (1, 1), (17, 3), (33, 2)];
+        for (si, &(rows, cols)) in tiny.iter().chain(&odd).enumerate() {
+            let w = values(rows * cols, si as u64);
+            let mut wt = vec![0.0; rows * cols];
+            for r in 0..rows {
+                for k in 0..cols {
+                    wt[k * rows + r] = w[r * cols + k];
+                }
+            }
+            for n in [1, 2, 3, 4, 5, 9, 33] {
+                let x = values(n * cols, 1000 + n as u64);
+                let mut y = vec![f32::NAN; n * rows];
+                matmul_t(&wt, &x, &mut y, n, rows, cols);
+                let mut expect = vec![0.0; rows];
+                for t in 0..n {
+                    matvec(&w, &x[t * cols..(t + 1) * cols], &mut expect, rows, cols);
+                    let got = &y[t * rows..(t + 1) * rows];
+                    assert!(
+                        got.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{rows}x{cols}, {n} tokens: token {t} differs from matvec"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

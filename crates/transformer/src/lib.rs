@@ -15,14 +15,16 @@
 //! * **Determinism / batch invariance** — each sequence's computation is
 //!   independent (per-sequence attention, fixed accumulation order), so the
 //!   composition of a micro-batch cannot perturb results; chunked prefill
-//!   equals whole-prompt prefill bit-for-bit.
+//!   equals whole-prompt prefill bit-for-bit. The token-batched GEMMs
+//!   ([`kernels::matmul_t`]) vectorise across outputs, never inside a
+//!   sum, so they equal per-token `matvec` calls bit for bit.
 //! * **Partition invariance** — weights are derived per layer index from a
 //!   master seed, so a 4-stage pipeline instantiates the *same model* as a
 //!   single stage, and pipelined execution must reproduce single-process
 //!   outputs exactly.
-//! * **Parallelism** — rayon parallelises across the sequences of a batch
-//!   (the axis real engines batch over), per the HPC guide's
-//!   "par_iter over the data" idiom.
+//! * **Single-threaded stages** — a stage runs on its own thread and
+//!   does not split work further; the pipeline's stages are what occupy
+//!   the cores.
 
 pub mod causal_lm;
 pub mod kernels;
