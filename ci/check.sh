@@ -35,3 +35,12 @@ cargo test -q --release -p gllm-runtime --test chaos
 # repo root, and exits nonzero if the parallel sweep's output ever
 # diverges from the serial run (the harness's bit-identity guarantee).
 cargo run --release -p gllm-bench --bin perf_harness -- --quick
+
+# Stage 3: figure reproducibility. Regenerates every figure and ablation
+# result in release and requires bench-results/ to come out byte-identical
+# to the committed files (tab01 is excluded: it records the tree's own
+# line counts, which every change moves).
+for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/abl*.rs; do
+    cargo run --release -q -p gllm-bench --bin "$(basename "$src" .rs)"
+done
+git diff --exit-code -- bench-results ':(exclude)bench-results/tab01_functionality.json'

@@ -27,12 +27,25 @@ pub struct DecodeSlot {
 }
 
 /// The micro-batch a policy proposes for the next forward pass.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchPlan {
     /// Prefill chunks, in schedule order.
     pub prefill: Vec<PrefillChunk>,
     /// Decode steps, in schedule order.
     pub decode: Vec<DecodeSlot>,
+}
+
+// Written out so `clone_from` reuses the destination's buffers: the
+// audited engines copy every proposed plan into one kept buffer.
+impl Clone for BatchPlan {
+    fn clone(&self) -> Self {
+        Self { prefill: self.prefill.clone(), decode: self.decode.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.prefill.clone_from(&source.prefill);
+        self.decode.clone_from(&source.decode);
+    }
 }
 
 impl BatchPlan {

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -20,7 +20,7 @@ use gllm_runtime::server::Submitter;
 use gllm_runtime::{GenRequest, RuntimeConfig, Server, StreamEvent};
 use gllm_transformer::sampler::SamplingParams;
 
-use crate::http::{finish_chunked, respond, start_sse, write_sse_event, Request};
+use crate::http::{finish_chunked, respond, start_sse, write_sse_event, ReadError, Request, MAX_BODY_BYTES};
 use crate::openai::{
     ChatChoice, ChatCompletionRequest, ChatCompletionResponse, ChatMessage, Choice,
     CompletionRequest, CompletionResponse, ErrorResponse, ModelCard, ModelList, Usage,
@@ -36,6 +36,15 @@ struct Shared {
     /// Per-request event routes, keyed by sequence id.
     routes: Mutex<HashMap<u64, Sender<StreamEvent>>>,
     shutdown: AtomicBool,
+}
+
+impl Shared {
+    /// The route table. Every critical section is one insert, remove or
+    /// lookup, so a handler that panicked while holding the lock left the
+    /// map consistent: recover the guard instead of spreading the panic.
+    fn routes(&self) -> MutexGuard<'_, HashMap<u64, Sender<StreamEvent>>> {
+        self.routes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running OpenAI-compatible API server.
@@ -78,7 +87,7 @@ impl ApiServer {
                             | StreamEvent::Rejected { seq }
                             | StreamEvent::Failed { seq } => seq,
                         };
-                        let routes = shared.routes.lock().expect("routes lock");
+                        let routes = shared.routes();
                         if let Some(tx) = routes.get(&seq) {
                             // A dropped receiver (client hung up) is fine.
                             let _ = tx.send(ev);
@@ -137,7 +146,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let req = match Request::read(&mut reader) {
         Ok(Some(req)) => req,
         Ok(None) => return,
-        Err(_) => {
+        Err(ReadError::BodyTooLarge(len)) => {
+            let msg = format!("request body of {len} bytes exceeds the {MAX_BODY_BYTES}-byte limit");
+            let body = serde_json::to_vec(&ErrorResponse::new("invalid_request_error", msg))
+                .expect("serialise error");
+            let _ = respond(&mut stream, 413, "application/json", &body);
+            return;
+        }
+        Err(ReadError::Io(_)) => {
             let body = serde_json::to_vec(&ErrorResponse::new("invalid_request_error", "malformed HTTP"))
                 .expect("serialise error");
             let _ = respond(&mut stream, 400, "application/json", &body);
@@ -199,7 +215,7 @@ fn handle_chat(stream: &mut TcpStream, req: &Request, shared: &Shared) {
     let prompt_len = prompt_tokens.len();
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
     let (tx, rx): (Sender<StreamEvent>, Receiver<StreamEvent>) = unbounded();
-    shared.routes.lock().expect("routes lock").insert(id, tx);
+    shared.routes().insert(id, tx);
     let submitted = shared.submitter.submit(GenRequest {
         id,
         prompt: prompt_tokens,
@@ -212,7 +228,7 @@ fn handle_chat(stream: &mut TcpStream, req: &Request, shared: &Shared) {
         },
     });
     if submitted.is_err() {
-        shared.routes.lock().expect("routes lock").remove(&id);
+        shared.routes().remove(&id);
         let body = serde_json::to_vec(&ErrorResponse::new(
             "engine_unavailable",
             "driver has shut down; request was not submitted",
@@ -237,7 +253,7 @@ fn handle_chat(stream: &mut TcpStream, req: &Request, shared: &Shared) {
             Err(_) => break Err("generation timed out"),
         }
     };
-    shared.routes.lock().expect("routes lock").remove(&id);
+    shared.routes().remove(&id);
     match result {
         Ok(()) => {
             let resp = ChatCompletionResponse {
@@ -293,7 +309,7 @@ fn handle_completion(stream: &mut TcpStream, req: &Request, shared: &Shared) {
 
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
     let (tx, rx): (Sender<StreamEvent>, Receiver<StreamEvent>) = unbounded();
-    shared.routes.lock().expect("routes lock").insert(id, tx);
+    shared.routes().insert(id, tx);
     let prompt_len = prompt_tokens.len();
     let submitted = shared.submitter.submit(GenRequest {
         id,
@@ -307,7 +323,7 @@ fn handle_completion(stream: &mut TcpStream, req: &Request, shared: &Shared) {
         },
     });
     if submitted.is_err() {
-        shared.routes.lock().expect("routes lock").remove(&id);
+        shared.routes().remove(&id);
         let body = serde_json::to_vec(&ErrorResponse::new(
             "engine_unavailable",
             "driver has shut down; request was not submitted",
@@ -322,7 +338,7 @@ fn handle_completion(stream: &mut TcpStream, req: &Request, shared: &Shared) {
     } else {
         blocking_completion(stream, shared, &parsed, id, prompt_len, &rx)
     };
-    shared.routes.lock().expect("routes lock").remove(&id);
+    shared.routes().remove(&id);
     let _ = result;
 }
 
@@ -536,6 +552,37 @@ mod tests {
         assert!(missing.starts_with("HTTP/1.1 404"));
         let wrong_method = roundtrip(addr, "GET /v1/completions HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(wrong_method.starts_with("HTTP/1.1 405"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_body_gets_a_413_error_and_the_server_stays_up() {
+        let server = start();
+        let addr = server.addr();
+        let resp = roundtrip(
+            addr,
+            &format!("POST /v1/completions HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n", usize::MAX),
+        );
+        assert!(resp.starts_with("HTTP/1.1 413"), "{resp}");
+        assert_eq!(json_body(&resp)["error"]["type"], "invalid_request_error");
+        let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(health.contains("\"status\":\"ok\""), "{health}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn route_table_survives_a_panicking_handler() {
+        let server = start();
+        let shared = Arc::clone(&server.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _routes = shared.routes.lock();
+            panic!("handler panicked while holding the route table");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.routes.is_poisoned());
+        let resp = post(server.addr(), "/v1/completions", r#"{"prompt":"Hi","max_tokens":3}"#);
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        assert_eq!(json_body(&resp)["usage"]["completion_tokens"], 3);
         server.shutdown();
     }
 

@@ -8,6 +8,25 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
+/// Largest request body the server accepts, in bytes. A request that
+/// declares a longer `Content-Length` is refused before any allocation.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Why a request could not be read.
+#[derive(Debug)]
+pub enum ReadError {
+    /// Socket error, or malformed or truncated input.
+    Io(std::io::Error),
+    /// The declared `Content-Length` exceeds [`MAX_BODY_BYTES`].
+    BodyTooLarge(usize),
+}
+
+impl From<std::io::Error> for ReadError {
+    fn from(e: std::io::Error) -> Self {
+        ReadError::Io(e)
+    }
+}
+
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -23,8 +42,9 @@ pub struct Request {
 
 impl Request {
     /// Read one request from the stream. Returns `None` on a clean EOF
-    /// before any bytes (keep-alive close) and `Err` on malformed input.
-    pub fn read(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Request>> {
+    /// before any bytes (keep-alive close) and `Err` on malformed input
+    /// or an oversized body.
+    pub fn read(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, ReadError> {
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
             return Ok(None);
@@ -33,10 +53,10 @@ impl Request {
         let (method, path) = match (parts.next(), parts.next()) {
             (Some(m), Some(p)) => (m.to_string(), p.to_string()),
             _ => {
-                return Err(std::io::Error::new(
+                return Err(ReadError::Io(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     "malformed request line",
-                ))
+                )))
             }
         };
         let mut headers = Vec::new();
@@ -44,10 +64,10 @@ impl Request {
         loop {
             let mut h = String::new();
             if reader.read_line(&mut h)? == 0 {
-                return Err(std::io::Error::new(
+                return Err(ReadError::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "eof in headers",
-                ));
+                )));
             }
             let h = h.trim_end();
             if h.is_empty() {
@@ -63,6 +83,9 @@ impl Request {
                 }
                 headers.push((name, value));
             }
+        }
+        if content_length > MAX_BODY_BYTES {
+            return Err(ReadError::BodyTooLarge(content_length));
         }
         let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body)?;
@@ -82,6 +105,7 @@ pub fn respond(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Payload Too Large",
         _ => "Internal Server Error",
     };
     write!(
@@ -123,7 +147,7 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    fn round_trip(raw: &str) -> std::io::Result<Option<Request>> {
+    fn round_trip(raw: &str) -> Result<Option<Request>, ReadError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let raw = raw.to_string();
@@ -162,5 +186,13 @@ mod tests {
     #[test]
     fn malformed_request_line_is_an_error() {
         assert!(round_trip("GARBAGE\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn oversized_content_length_is_refused_before_allocating() {
+        let raw = format!("POST /v1/completions HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
+        assert!(matches!(round_trip(&raw), Err(ReadError::BodyTooLarge(n)) if n == usize::MAX));
+        let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        assert!(matches!(round_trip(&raw), Err(ReadError::BodyTooLarge(_))));
     }
 }

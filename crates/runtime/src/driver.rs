@@ -158,6 +158,9 @@ struct Driver {
     shutting_down: bool,
     single_stage: bool,
     auditor: Option<InvariantAuditor>,
+    /// The policy's plan as proposed, kept for the auditor (admission
+    /// consumes the original); reused across batches.
+    audit_proposal: BatchPlan,
     ptrace: PipelineTrace,
 
     stage0: StageModel,
@@ -201,6 +204,7 @@ impl Driver {
             shutting_down: false,
             single_stage,
             auditor,
+            audit_proposal: BatchPlan::default(),
             ptrace: PipelineTrace::new(p.record_trace),
             stage0: p.stage0,
             policy: p.policy,
@@ -466,7 +470,9 @@ impl Driver {
             return Step::Idle; // back off; retry next multiplexer turn
         }
 
-        let proposed_copy = self.auditor.as_ref().map(|_| proposed.clone());
+        if self.auditor.is_some() {
+            self.audit_proposal.clone_from(&proposed);
+        }
         let admission = admit(proposed, &mut self.pool, &mut self.kvm);
         for &victim in &admission.preempted {
             self.recorder.on_preemption(victim);
@@ -515,8 +521,8 @@ impl Driver {
         };
         self.next_batch += 1;
         let now = self.now();
-        if let (Some(a), Some(proposed)) = (self.auditor.as_mut(), proposed_copy.as_ref()) {
-            a.on_schedule(now, batch, proposed, &plan, caps, kv_before, kv_obs(&self.kvm));
+        if let Some(a) = self.auditor.as_mut() {
+            a.on_schedule(now, batch, &self.audit_proposal, &plan, caps, kv_before, kv_obs(&self.kvm));
         }
         self.publish_snapshot();
         self.ptrace.schedule(

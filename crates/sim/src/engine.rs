@@ -55,9 +55,10 @@ pub struct EngineConfig {
     /// amplify around a slow stage.
     pub stage_slowdown: Vec<f64>,
     /// Run the invariant auditor on every schedule/complete transition
-    /// (cheap: O(plan) per batch). On by default so every test and bench
-    /// run cross-checks KV accounting, pipeline depth, budget conformance
-    /// and FCFS admission.
+    /// (cheap: O(plan · log live requests) per transition, with state
+    /// bounded by the live requests). On by default so every test and
+    /// bench run cross-checks KV accounting, pipeline depth, budget
+    /// conformance and FCFS admission.
     pub audit: bool,
     /// Record the structured per-batch pipeline event log (schedule /
     /// stage / comm / complete / preempt) for Chrome-trace export. Off by
@@ -261,6 +262,9 @@ pub struct SimEngine<'a> {
     busy: BusyTracker,
     ptrace: PipelineTrace,
     auditor: Option<InvariantAuditor>,
+    /// The policy's plan as proposed, kept for the auditor (admission
+    /// consumes the original); reused across batches.
+    audit_proposal: BatchPlan,
     sched_iterations: usize,
     preemptions: u64,
     aborted: usize,
@@ -327,6 +331,7 @@ impl<'a> SimEngine<'a> {
             busy,
             ptrace,
             auditor,
+            audit_proposal: BatchPlan::default(),
             sched_iterations: 0,
             preemptions: 0,
             aborted: 0,
@@ -498,7 +503,9 @@ impl<'a> SimEngine<'a> {
                 .budget_caps(&view)
                 .map(|(prefill_tokens, decode_seqs)| PlanCaps { prefill_tokens, decode_seqs });
             let proposed = self.policy.plan(&view);
-            let proposed_copy = self.auditor.as_ref().map(|_| proposed.clone());
+            if self.auditor.is_some() {
+                self.audit_proposal.clone_from(&proposed);
+            }
             let admission = admit(proposed, &mut self.pool, &mut self.kv);
             for &victim in &admission.preempted {
                 self.recorder.on_preemption(victim);
@@ -536,7 +543,7 @@ impl<'a> SimEngine<'a> {
                     .record(plan.prefill_tokens().get(), plan.decode_tokens().get());
             }
             self.sched_iterations += 1;
-            if let (Some(a), Some(proposed)) = (self.auditor.as_mut(), proposed_copy.as_ref()) {
+            if let Some(a) = self.auditor.as_mut() {
                 let after = KvObservation {
                     free_blocks: self.kv.free_blocks(),
                     used_blocks: self.kv.stats().used_blocks,
@@ -544,7 +551,7 @@ impl<'a> SimEngine<'a> {
                 a.on_schedule(
                     self.clock,
                     self.next_batch_id,
-                    proposed,
+                    &self.audit_proposal,
                     &plan,
                     caps,
                     kv_before,
