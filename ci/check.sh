@@ -30,6 +30,11 @@ cargo clippy --all-targets -- -D warnings
 # pipeline stages, which is slow unoptimized.
 cargo test -q --release -p gllm-runtime --test chaos
 
+# Stage 1.6: the transformer's vector `expf` against libm's `expf` on all
+# 2^32 inputs, bit for bit (about 50 s on one core in release). On hosts
+# without AVX2+FMA the vector path never runs and the test returns at once.
+cargo test -q --release -p gllm-transformer --lib -- --ignored vector_exp_equals_libm_on_every_f32
+
 # Stage 2: perf self-benchmark. Times every figure family's sweep serial
 # vs parallel vs the unoptimized baseline, writes BENCH_sweep.json at the
 # repo root, and exits nonzero if the parallel sweep's output ever

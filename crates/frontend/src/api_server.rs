@@ -20,7 +20,10 @@ use gllm_runtime::server::Submitter;
 use gllm_runtime::{GenRequest, RuntimeConfig, Server, StreamEvent};
 use gllm_transformer::sampler::SamplingParams;
 
-use crate::http::{finish_chunked, respond, start_sse, write_sse_event, ReadError, Request, MAX_BODY_BYTES};
+use crate::http::{
+    finish_chunked, respond, start_sse, write_sse_event, ReadError, Request, MAX_BODY_BYTES,
+    MAX_HEADERS, MAX_HEADER_BYTES, MAX_LINE_BYTES,
+};
 use crate::openai::{
     ChatChoice, ChatCompletionRequest, ChatCompletionResponse, ChatMessage, Choice,
     CompletionRequest, CompletionResponse, ErrorResponse, ModelCard, ModelList, Usage,
@@ -146,17 +149,24 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let req = match Request::read(&mut reader) {
         Ok(Some(req)) => req,
         Ok(None) => return,
-        Err(ReadError::BodyTooLarge(len)) => {
-            let msg = format!("request body of {len} bytes exceeds the {MAX_BODY_BYTES}-byte limit");
+        Err(e) => {
+            let (status, msg) = match e {
+                ReadError::BodyTooLarge(len) => (
+                    413,
+                    format!("request body of {len} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
+                ),
+                ReadError::HeadersTooLarge => (
+                    431,
+                    format!(
+                        "request head exceeds {MAX_LINE_BYTES} bytes per line, {MAX_HEADERS} \
+                         headers or {MAX_HEADER_BYTES} bytes in all"
+                    ),
+                ),
+                ReadError::Io(_) => (400, "malformed HTTP".to_string()),
+            };
             let body = serde_json::to_vec(&ErrorResponse::new("invalid_request_error", msg))
                 .expect("serialise error");
-            let _ = respond(&mut stream, 413, "application/json", &body);
-            return;
-        }
-        Err(ReadError::Io(_)) => {
-            let body = serde_json::to_vec(&ErrorResponse::new("invalid_request_error", "malformed HTTP"))
-                .expect("serialise error");
-            let _ = respond(&mut stream, 400, "application/json", &body);
+            let _ = respond(&mut stream, status, "application/json", &body);
             return;
         }
     };
@@ -564,6 +574,22 @@ mod tests {
             &format!("POST /v1/completions HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n", usize::MAX),
         );
         assert!(resp.starts_with("HTTP/1.1 413"), "{resp}");
+        assert_eq!(json_body(&resp)["error"]["type"], "invalid_request_error");
+        let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(health.contains("\"status\":\"ok\""), "{health}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_request_line_gets_a_431_error_and_the_server_stays_up() {
+        let server = start();
+        let addr = server.addr();
+        // One byte past the line cap and nothing more, so the server
+        // reads all of it before it answers.
+        let raw = format!("GET /{}", "a".repeat(MAX_LINE_BYTES - 4));
+        assert_eq!(raw.len(), MAX_LINE_BYTES + 1);
+        let resp = roundtrip(addr, &raw);
+        assert!(resp.starts_with("HTTP/1.1 431"), "{resp}");
         assert_eq!(json_body(&resp)["error"]["type"], "invalid_request_error");
         let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(health.contains("\"status\":\"ok\""), "{health}");

@@ -1,5 +1,6 @@
 //! Reduction of timelines to the paper's reported numbers.
 
+use gllm_workload::{mean, percentile};
 use serde::{Deserialize, Serialize};
 
 use crate::recorder::MetricsRecorder;
@@ -139,29 +140,6 @@ impl ServingReport {
             .count();
         ok as f64 / finished.len() as f64
     }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    // Clamp so an out-of-range p (e.g. 150) cannot index past the end.
-    let p = p.clamp(0.0, 100.0);
-    let mut s = xs.to_vec();
-    s.sort_by(|a, b| a.total_cmp(b));
-    let rank = (p / 100.0) * (s.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    s[lo] * (1.0 - frac) + s[hi] * frac
 }
 
 #[cfg(test)]

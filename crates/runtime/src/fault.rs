@@ -504,4 +504,39 @@ mod tests {
         assert!(!inj.kv_alloc_should_fail(0));
         assert!(inj.take_fired().is_empty());
     }
+
+    /// Picks below 256 are raw bytes; the rest index `fragments`, so the
+    /// input is arbitrary but often close to the grammar.
+    fn splice(picks: &[u16], fragments: &[&str]) -> String {
+        let mut out = Vec::new();
+        for &p in picks {
+            match usize::from(p).checked_sub(256) {
+                None => out.push(p as u8),
+                Some(i) => out.extend_from_slice(fragments[i % fragments.len()].as_bytes()),
+            }
+        }
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(4000))]
+        /// Any spec parses or fails with a structured error, never a
+        /// panic, and every accepted plan renders back to itself.
+        #[test]
+        fn parse_never_panics_and_accepted_plans_round_trip(
+            picks in proptest::collection::vec(0u16..512, 0..48),
+        ) {
+            let frags = [
+                "kill:1@3", "drop:0@5", "delay:2@4+20", "kvfail:7x3", "kill:", "drop:", "delay:",
+                "kvfail:", "@", "+", "x", ",", ",", " ", ":", "0", "1", "18446744073709551615",
+                "18446744073709551616", "-1",
+            ];
+            let spec = splice(&picks, &frags);
+            if let Ok(plan) = FaultPlan::parse(&spec) {
+                let rendered: Vec<String> = plan.faults.iter().map(|f| f.to_string()).collect();
+                let reparsed = FaultPlan::parse(&rendered.join(","));
+                proptest::prop_assert_eq!(reparsed, Ok(plan), "{:?}", spec);
+            }
+        }
+    }
 }

@@ -4,6 +4,15 @@
 //! bit-reproducible regardless of batch composition. Vectorisation runs
 //! across independent outputs (rows, tokens, positions), never inside a
 //! reduction.
+//!
+//! On x86-64 hosts with AVX2 and FMA, [`matmul_t`], [`exp_in_place`] and
+//! the kernels built on it run an AVX2+FMA build (the private `x86`
+//! module, the crate's only `unsafe` code), chosen at run time. Its
+//! results equal the portable build's bit for bit on every host, so the
+//! choice is invisible in the outputs.
+
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 /// `y = W x` where `W` is `rows × cols` row-major and `x` has `cols`
 /// elements. `y` must have `rows` elements.
@@ -38,10 +47,22 @@ const SOLO_ROWS: usize = 32;
 /// 1 × [`SOLO_ROWS`]). Every output still accumulates `0.0 + w·x` in
 /// sequential `k` order with a separate multiply and add, exactly as
 /// [`matvec`] does, so the result equals `n` `matvec` calls bit for bit.
+/// Hosts with AVX2 run the same loop compiled for AVX2.
 pub fn matmul_t(wt: &[f32], x: &[f32], y: &mut [f32], n: usize, rows: usize, cols: usize) {
     assert_eq!(wt.len(), rows * cols, "weight shape mismatch");
     assert_eq!(x.len(), n * cols, "input length mismatch");
     assert_eq!(y.len(), n * rows, "output length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = x86::Avx2Fma::detect() {
+        return avx2.matmul_t(wt, x, y, n, rows, cols);
+    }
+    matmul_t_loop(wt, x, y, n, rows, cols);
+}
+
+/// The loop of [`matmul_t`], compiled once per instruction set that
+/// calls it.
+#[inline(always)]
+fn matmul_t_loop(wt: &[f32], x: &[f32], y: &mut [f32], n: usize, rows: usize, cols: usize) {
     let mut t = 0;
     while t + TILE_TOKENS <= n {
         matmul_t_tokens::<TILE_TOKENS, TILE_ROWS>(wt, x, y, t, rows, cols);
@@ -54,6 +75,7 @@ pub fn matmul_t(wt: &[f32], x: &[f32], y: &mut [f32], n: usize, rows: usize, col
 
 /// Tokens `t0..t0 + TN` against every output row, `TR` rows per register
 /// tile; rows past the last full tile go one at a time.
+#[inline(always)]
 fn matmul_t_tokens<const TN: usize, const TR: usize>(
     wt: &[f32],
     x: &[f32],
@@ -110,16 +132,34 @@ pub fn rmsnorm(x: &mut [f32], gain: &[f32], eps: f32) {
     }
 }
 
-/// Numerically stable in-place softmax.
+/// `v ← v.exp()` for every element, equal bit for bit to `f32::exp`,
+/// i.e. to the host libm's `expf`. Hosts with AVX2 and FMA evaluate four
+/// lanes at a time with the algorithm of glibc's `__expf_fma`, the
+/// `expf` that glibc selects on exactly those hosts.
+pub(crate) fn exp_in_place(x: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(fma) = x86::Avx2Fma::detect() {
+        return fma.exp_in_place(x);
+    }
+    for v in x.iter_mut() {
+        *v = v.exp();
+    }
+}
+
+/// Numerically stable in-place softmax: `exp(x_i − max)` over their sum,
+/// summed in order from `0.0`.
 pub fn softmax(x: &mut [f32]) {
     if x.is_empty() {
         return;
     }
     let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
     for v in x.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+        *v -= max;
+    }
+    exp_in_place(x);
+    let mut sum = 0.0f32;
+    for v in x.iter() {
+        sum += v;
     }
     for v in x.iter_mut() {
         *v /= sum;
@@ -130,6 +170,20 @@ pub fn softmax(x: &mut [f32]) {
 #[inline]
 pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
+}
+
+/// SwiGLU: `out_i = silu(gate_i) · up_i`, bit for bit, with the
+/// exponentials taken by [`exp_in_place`].
+pub(crate) fn swiglu(gate: &[f32], up: &[f32], out: &mut [f32]) {
+    assert_eq!(gate.len(), out.len());
+    assert_eq!(up.len(), out.len());
+    for (o, &g) in out.iter_mut().zip(gate) {
+        *o = -g;
+    }
+    exp_in_place(out);
+    for ((o, &g), &u) in out.iter_mut().zip(gate).zip(up) {
+        *o = g / (1.0 + *o) * u;
+    }
 }
 
 /// Apply rotary position embeddings in-place to one head-sized slice at
@@ -212,6 +266,20 @@ mod tests {
             .collect()
     }
 
+    type MatmulT = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+    /// Every build of [`matmul_t`] this host can run, by name.
+    fn matmul_t_builds() -> Vec<(&'static str, MatmulT)> {
+        let mut builds: Vec<(&'static str, MatmulT)> = vec![("portable", matmul_t_loop)];
+        #[cfg(target_arch = "x86_64")]
+        if x86::Avx2Fma::detect().is_some() {
+            builds.push(("avx2", |wt, x, y, n, rows, cols| {
+                x86::Avx2Fma::detect().expect("detected").matmul_t(wt, x, y, n, rows, cols)
+            }));
+        }
+        builds
+    }
+
     #[test]
     fn matmul_t_equals_per_token_matvec_bitwise() {
         let cfg = gllm_model::ModelConfig::tiny();
@@ -219,28 +287,69 @@ mod tests {
         let tiny =
             [(q + 2 * kv, h), (q, h), (kv, h), (h, q), (2 * i, h), (h, i), (cfg.vocab_size, h)];
         let odd = [(5, 7), (37, 19), (1, 1), (17, 3), (33, 2)];
-        for (si, &(rows, cols)) in tiny.iter().chain(&odd).enumerate() {
-            let w = values(rows * cols, si as u64);
-            let mut wt = vec![0.0; rows * cols];
-            for r in 0..rows {
-                for k in 0..cols {
-                    wt[k * rows + r] = w[r * cols + k];
+        for (build, matmul) in matmul_t_builds() {
+            for (si, &(rows, cols)) in tiny.iter().chain(&odd).enumerate() {
+                let w = values(rows * cols, si as u64);
+                let mut wt = vec![0.0; rows * cols];
+                for r in 0..rows {
+                    for k in 0..cols {
+                        wt[k * rows + r] = w[r * cols + k];
+                    }
+                }
+                for n in [1, 2, 3, 4, 5, 9, 33] {
+                    let x = values(n * cols, 1000 + n as u64);
+                    let mut y = vec![f32::NAN; n * rows];
+                    matmul(&wt, &x, &mut y, n, rows, cols);
+                    let mut expect = vec![0.0; rows];
+                    for t in 0..n {
+                        matvec(&w, &x[t * cols..(t + 1) * cols], &mut expect, rows, cols);
+                        let got = &y[t * rows..(t + 1) * rows];
+                        assert!(
+                            got.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "{build}: {rows}x{cols}, {n} tokens: token {t} differs from matvec"
+                        );
+                    }
                 }
             }
-            for n in [1, 2, 3, 4, 5, 9, 33] {
-                let x = values(n * cols, 1000 + n as u64);
-                let mut y = vec![f32::NAN; n * rows];
-                matmul_t(&wt, &x, &mut y, n, rows, cols);
-                let mut expect = vec![0.0; rows];
-                for t in 0..n {
-                    matvec(&w, &x[t * cols..(t + 1) * cols], &mut expect, rows, cols);
-                    let got = &y[t * rows..(t + 1) * rows];
-                    assert!(
-                        got.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{rows}x{cols}, {n} tokens: token {t} differs from matvec"
-                    );
-                }
+        }
+    }
+
+    /// Bit patterns of `xs`, for exact comparison (NaNs included).
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn softmax_equals_its_scalar_formula_bitwise() {
+        for len in [1, 2, 3, 4, 5, 7, 8, 33, 130, 511] {
+            let mut x = values(len, 7 + len as u64);
+            if len > 4 {
+                // Scores far below the maximum reach the special-case lanes.
+                x[1] = -95.0;
+                x[3] = f32::NEG_INFINITY;
             }
+            let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let e: Vec<f32> = x.iter().map(|v| (v - max).exp()).collect();
+            let mut sum = 0.0f32;
+            for v in &e {
+                sum += v;
+            }
+            let expect: Vec<f32> = e.iter().map(|v| v / sum).collect();
+            softmax(&mut x);
+            assert_eq!(bits(&x), bits(&expect), "length {len}");
+        }
+    }
+
+    #[test]
+    fn swiglu_equals_silu_times_up_bitwise() {
+        for len in [1, 3, 4, 6, 128, 129] {
+            let mut gate = values(len, 40 + len as u64);
+            gate[0] = 100.0; // −gate is past −88: glibc's special-case path
+            let up = values(len, 80 + len as u64);
+            let expect: Vec<f32> = gate.iter().zip(&up).map(|(&g, &u)| silu(g) * u).collect();
+            let mut out = vec![f32::NAN; len];
+            swiglu(&gate, &up, &mut out);
+            assert_eq!(bits(&out), bits(&expect), "length {len}");
         }
     }
 

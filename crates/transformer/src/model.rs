@@ -20,7 +20,7 @@ use gllm_kvcache::PageTable;
 use gllm_model::ModelConfig;
 
 use crate::kernels::{
-    add_assign, matmul_t, matvec, rmsnorm, rope_rotate, rope_sin_cos, silu, softmax,
+    add_assign, matmul_t, matvec, rmsnorm, rope_rotate, rope_sin_cos, softmax, swiglu,
 };
 use crate::kvstore::PagedKvStore;
 use crate::weights::{
@@ -367,9 +367,7 @@ fn run_tile(
     let act = &mut s.act[..n * inter];
     for (a_row, gu) in act.chunks_exact_mut(inter).zip(gate_up.chunks_exact(2 * inter)) {
         let (gate, up) = gu.split_at(inter);
-        for ((a, &g), &u) in a_row.iter_mut().zip(gate).zip(up) {
-            *a = silu(g) * u;
-        }
+        swiglu(gate, up, a_row);
     }
     matmul_t(&layer.w_down, act, &mut s.proj[..n * h], n, h, inter);
     for (r, (ci, t)) in rows().enumerate() {

@@ -101,6 +101,9 @@ pub fn parse_azure_csv(content: &str) -> Result<Trace, ParseError> {
             Ok(v) => v,
             Err(_) => timestamp_seconds(t_raw, line_no)?,
         };
+        if !arrival.is_finite() {
+            return Err(err(line_no, format!("non-finite arrival {t_raw:?}")));
+        }
         let input: usize = fields[in_col]
             .parse()
             .map_err(|_| err(line_no, format!("bad input tokens {:?}", fields[in_col])))?;
@@ -114,6 +117,9 @@ pub fn parse_azure_csv(content: &str) -> Result<Trace, ParseError> {
     }
     rows.sort_by(|a, b| a.0.total_cmp(&b.0));
     let t0 = rows[0].0;
+    if !(rows[rows.len() - 1].0 - t0).is_finite() {
+        return Err(err(0, "arrivals span more than f64 can hold"));
+    }
     let requests = rows
         .into_iter()
         .enumerate()
@@ -173,8 +179,57 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_arrivals_are_refused() {
+        for bad in ["NaN", "inf", "-inf"] {
+            let csv = format!("arrival,input,output\n0,5,5\n{bad},6,6\n");
+            assert_eq!(parse_azure_csv(&csv).unwrap_err().line, 3, "{bad}");
+        }
+        let overflow = "arrival,input,output\n1e308,5,5\n-1e308,6,6\n";
+        assert_eq!(parse_azure_csv(overflow).unwrap_err().line, 0);
+    }
+
+    #[test]
     fn blank_lines_are_skipped() {
         let csv = "arrival,input,output\n0,5,5\n\n1,6,6\n";
         assert_eq!(parse_azure_csv(csv).unwrap().len(), 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(4000))]
+        /// Any file parses or fails with a structured error, never a
+        /// panic; every accepted trace is non-empty and starts at t = 0.
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            picks in proptest::collection::vec(0u16..1024, 0..64),
+        ) {
+            let rows = ["0.5,374,60\n", "2023-11-16 18:21:01.500,120,15\n", "-1e308,0,1\n", "\n"];
+            let frags = [
+                "timestamp,context,generated\n", "arrival,input,output\n", rows[0], rows[1],
+                rows[2], ",", " ", "2023-11-16 ", "18:21:01.5", ":", "0", "1", "1e308", "inf",
+                "NaN", "18446744073709551616",
+            ];
+            // Half the files start with a valid header; half of those hold
+            // only whole rows and blank lines, so traces get accepted. The
+            // rest mix raw bytes (picks below 256) with fragments.
+            let first = picks.first().map_or(1, |&p| usize::from(p));
+            let mut bytes = Vec::new();
+            if first % 2 == 0 {
+                bytes.extend_from_slice(frags[picks.len() % 2].as_bytes());
+            }
+            for p in picks.iter().map(|&p| usize::from(p)) {
+                match (first % 4, p) {
+                    (0, _) => bytes.extend_from_slice(rows[p % rows.len()].as_bytes()),
+                    (_, 0..=255) => bytes.push(p as u8),
+                    _ => bytes.extend_from_slice(frags[p % frags.len()].as_bytes()),
+                }
+            }
+            let csv = String::from_utf8_lossy(&bytes);
+            if let Ok(trace) = parse_azure_csv(&csv) {
+                proptest::prop_assert_eq!(trace.requests[0].arrival_s, 0.0);
+                let mut arrivals = trace.requests.iter().map(|r| r.arrival_s);
+                let finite = arrivals.all(|t| t.is_finite() && t >= 0.0);
+                proptest::prop_assert!(finite, "{:?}", csv);
+            }
+        }
     }
 }

@@ -112,6 +112,13 @@ mod tests {
     }
 
     #[test]
+    fn percentile_at_an_integral_rank_returns_the_sample_itself() {
+        let xs = [1.0, f64::INFINITY];
+        assert_eq!(percentile(&xs, 100.0), f64::INFINITY, "not inf·1 + inf·0 = NaN");
+        assert_eq!(percentile(&[f64::NEG_INFINITY, 2.0, 3.0], 0.0), f64::NEG_INFINITY);
+    }
+
+    #[test]
     fn percentile_clamps_out_of_range_p() {
         // Regression: p > 100 used to index sorted[len] out of bounds.
         let xs = [1.0, 2.0, 3.0];
